@@ -26,11 +26,12 @@ design:
   ride in the panel.  BLAS gemm/trsm do *not* have this property (their
   blocking changes the summation pattern with the panel width), so the
   solve phase would give different bits for ``solve(B)`` versus
-  ``solve(B[:, j])``.  The numpy backend gets stability from per-column
-  BLAS gemv calls (each column reduced independently, whatever the
-  width) plus row-sweep triangular substitution; the numba backend from
-  naive JIT loops.  This is what makes blocked multi-RHS solves equal
-  column-by-column solves bit-for-bit for float64.
+  ``solve(B[:, j])``.  The numpy backend gets stability from one batched
+  ``np.matmul`` whose stack NumPy dispatches as one BLAS gemv per column
+  (each column reduced independently, whatever the width) plus row-sweep
+  triangular substitution; the numba backend from naive JIT loops.  This
+  is what makes blocked multi-RHS solves equal column-by-column solves
+  bit-for-bit for float64.
 
 Registering a custom backend::
 
@@ -381,20 +382,21 @@ def _ldlt_pivot(a: np.ndarray, u: float = 0.1,
 def _stable_gemm(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x`` with a per-column-deterministic reduction.
 
-    Each output column is an independent BLAS gemv against the same
-    C-contiguous ``a`` and a contiguous copy of the input column, so its
-    bits cannot depend on the panel width.  A single BLAS gemm (or even
-    ``np.einsum``) does *not* have this property: their blocking / SIMD
-    inner-loop selection changes with the output shape, which changes
-    the summation tree per column.
+    One batched ``np.matmul`` of the C-contiguous ``a`` against the
+    ``(k, w, 1)`` stack of contiguous input columns.  NumPy runs that
+    stack as one BLAS gemv per column on exactly the operands a lone
+    ``a @ x[:, j]`` would use, so each column's bits are those of the
+    single-column product whatever the panel width — the stability
+    contract — while the per-column dispatch happens in C instead of a
+    Python loop.  A plain BLAS gemm (or ``np.einsum``) does *not* have
+    this property: its blocking / SIMD inner-loop selection changes with
+    the output shape, which changes the summation tree per column.  The
+    result is an ``(m, k)`` Fortran-ordered view of the fresh
+    ``(k, m, 1)`` product.
     """
     a = np.ascontiguousarray(a)
     xt = np.ascontiguousarray(x.T)  # one copy; each row is a contiguous col
-    out = np.empty((a.shape[0], x.shape[1]), dtype=np.result_type(a, x))
-    for j in range(xt.shape[0]):
-        # solverlint: ignore[python-hot-loop] -- one BLAS gemv per column: the per-column independence is the stability contract, and each iteration is a full vectorized matvec, not scalar work
-        out[:, j] = a @ xt[j]
-    return out
+    return np.matmul(a, xt[:, :, None])[:, :, 0].T
 
 
 def _sweep_lower(m: np.ndarray, x: np.ndarray, unit: bool) -> None:
@@ -529,8 +531,8 @@ class KernelBackend:
 
 class NumpyBackend(KernelBackend):
     """Default backend: BLAS/LAPACK (via numpy/scipy) for factorization
-    kernels, per-column gemv + row sweeps for the column-stable panel
-    kernels."""
+    kernels, batched per-column gemv + row sweeps for the column-stable
+    panel kernels."""
 
     name = "numpy"
 

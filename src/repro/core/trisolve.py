@@ -20,8 +20,14 @@ column ``j`` of ``b``, bit-for-bit, so a blocked ``(n, k)`` solve equals
 ``k`` single-RHS solves exactly (for identical dtypes).  BLAS gemm/trsm do
 not have that property — their internal blocking changes the summation
 order with the panel width — which is why the solve phase deliberately
-avoids them.  The diagonal blocks are passed packed: the panel kernels read
-only the requested triangle, so no ``np.triu`` copies are taken.
+avoids them.  Batching is not the problem: the numpy backend runs each
+panel product as one batched ``np.matmul`` that NumPy dispatches as one
+gemv per column on the same operands, so the ``k`` columns cost one call
+and keep the per-column bits.  What does change bits is merging *blocks*:
+stacking a supernode's off-diagonal blocks into one taller product
+changes the gemv kernel's row blocking, so every block is applied on its
+own.  The diagonal blocks are passed packed: the panel kernels read only
+the requested triangle, so no ``np.triu`` copies are taken.
 """
 
 from __future__ import annotations

@@ -13,9 +13,11 @@ the downdated estimate).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import functools
+from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from repro.lowrank.block import LowRankBlock
 
@@ -171,10 +173,26 @@ def _form_q(vs: np.ndarray, taus: np.ndarray, m: int, rank: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=None)
+def _qp3_handles(dtype: np.dtype) -> Tuple[Any, Any, int]:
+    """LAPACK ``xgeqp3`` / ``xorgqr`` (``xungqr``) for ``dtype`` and the
+    block size ``nb`` their workspace queries scale with.
+
+    Resolved once per dtype: ``nb`` comes from a single ``orgqr``
+    workspace query (``lwork = ncols * nb``), after which
+    :func:`rrqr_lapack` passes the closed-form optimal workspace instead
+    of querying on every call.
+    """
+    geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), dtype=dtype)
+    probe = np.zeros((1, 1), dtype=geqp3.dtype, order="F")
+    work = orgqr(probe, np.zeros(1, dtype=geqp3.dtype), lwork=-1)[-2]
+    return geqp3, orgqr, int(work[0].real)
+
+
 def rrqr_lapack(a: np.ndarray, tol: float,
                 max_rank: Optional[int] = None,
                 norm_ref: Optional[float] = None) -> RRQRResult:
-    """Truncated RRQR via LAPACK ``dgeqp3`` (scipy's pivoted QR).
+    """Truncated RRQR via LAPACK ``xgeqp3`` + ``xorgqr``, called directly.
 
     LAPACK computes the *full* pivoted factorization — it cannot stop at the
     revealed rank like :func:`rrqr` — but it runs at C speed, which at
@@ -184,28 +202,53 @@ def rrqr_lapack(a: np.ndarray, tol: float,
     :func:`rrqr` to demonstrate the Θ(m·n·r) behaviour the paper relies
     on).  Truncation picks the smallest r with
     ``||R[r:, :]||_F <= tol ||a||_F``.
-    """
-    import scipy.linalg as sla
 
+    The results are bit-identical to ``scipy.linalg.qr(a, mode="economic",
+    pivoting=True)`` followed by the same truncation: the same routines
+    run with the same (closed-form optimal) workspace, ``xorgqr`` expands
+    all ``min(m, n)`` reflectors before the columns are sliced, and the
+    row norms reduce the same C-ordered upper triangle.  What is skipped is
+    the wrapper's overhead: the two workspace queries, the ``np.triu``
+    copy, and forming ``Q`` at all when the result is rank 0 or rejected
+    by ``max_rank``.
+    """
     m, n = a.shape
-    q, r, jpvt = sla.qr(a, mode="economic", pivoting=True,
-                        check_finite=False)
+    k = min(m, n)
+    if k == 0:
+        return RRQRResult(q=np.empty((m, 0), dtype=a.dtype),
+                          r=np.empty((0, n), dtype=a.dtype),
+                          jpvt=np.arange(n, dtype=np.int64), converged=True)
+    geqp3, orgqr, nb = _qp3_handles(a.dtype)
+    lwork = (n + 1) * nb + (0 if geqp3.dtype.kind == "c" else 2 * n)
+    qr, jpvt, tau, _, info = geqp3(a, lwork=lwork)
+    if info < 0:  # pragma: no cover - argument error, not a data condition
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    jpvt = jpvt.astype(np.int64) - 1  # LAPACK pivots are 1-based
+    # the R factor: the upper triangle of the leading k rows, zeroed below
+    # the diagonal in one C-ordered copy (the layout np.triu produces, so
+    # the row norms below reduce in the same order).  Always a copy: the
+    # reflectors below the diagonal of ``qr`` still feed orgqr.
+    r = np.array(qr[:k], order="C")
+    r[np.tri(k, n, -1, dtype=bool)] = 0
     # Frobenius tail of discarding rows >= rank
     row_sq = np.einsum("ij,ij->i", r.conj(), r).real
     tail = np.sqrt(np.maximum(np.cumsum(row_sq[::-1])[::-1], 0.0))
-    norm_a = float(tail[0]) if tail.size else 0.0
+    norm_a = float(tail[0])
     scale = max(norm_a, norm_ref or 0.0)
     if scale == 0.0:
         rank = 0
     else:
         ok = np.flatnonzero(tail <= tol * scale)
-        rank = int(ok[0]) if ok.size else int(r.shape[0])
-    if max_rank is not None and rank > max_rank:
-        return RRQRResult(q=q[:, :0], r=r[:0], jpvt=jpvt.astype(np.int64),
-                          converged=False)
-    return RRQRResult(q=np.ascontiguousarray(q[:, :rank]),
-                      r=np.ascontiguousarray(r[:rank]),
-                      jpvt=jpvt.astype(np.int64), converged=True)
+        rank = int(ok[0]) if ok.size else k
+    converged = max_rank is None or rank <= max_rank
+    if rank == 0 or not converged:
+        return RRQRResult(q=np.empty((m, 0), dtype=r.dtype), r=r[:0],
+                          jpvt=jpvt, converged=converged)
+    # all k reflectors, then slice: Q's leading columns then carry the
+    # exact bits of the untruncated factorization
+    q = orgqr(qr[:, :k], tau, lwork=k * nb, overwrite_a=1)[0]
+    return RRQRResult(q=np.ascontiguousarray(q[:, :rank]), r=r[:rank],
+                      jpvt=jpvt, converged=True)
 
 
 def rrqr_compress(a: np.ndarray, tol: float,

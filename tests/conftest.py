@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Tuple
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ def tiny_blr_config(**overrides) -> SolverConfig:
     )
     base.update(overrides)
     return SolverConfig(**base)
+
+
+def paired_best_times(run: Callable[[bool], float],
+                      pairs: int = 4) -> Tuple[float, float]:
+    """Best-of-N times of ``run(False)`` and ``run(True)`` for an
+    instrumentation-overhead gate.
+
+    The two sides run as interleaved pairs whose order alternates (off/on,
+    on/off, ...), after one untimed warm-up, so a burst of host load lands
+    on both sides rather than on whichever side happened to run during it.
+    Returns ``(best_off, best_on)``.
+    """
+    run(False)  # warm the caches
+    best = {False: float("inf"), True: float("inf")}
+    for i in range(pairs):
+        for flag in ((False, True) if i % 2 == 0 else (True, False)):
+            best[flag] = min(best[flag], run(flag))
+    return best[False], best[True]
 
 
 @pytest.fixture

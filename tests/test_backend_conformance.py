@@ -10,7 +10,12 @@ relies on:
   panel width;
 * **seed bit-compatibility** of the numpy backend: a float64
   factorization produces sha256-identical factors to the pre-backend
-  solver (the four pinned digests below were captured from the seed).
+  solver (the four pinned digests below were captured from the seed),
+  and a 16-column panel solve reproduces pinned solution digests;
+* **bitwise goldens of the fast paths**: the batched panel products
+  equal a per-column ``a @ x[:, j]`` reference, and the direct-LAPACK
+  RRQR equals a ``scipy.linalg.qr(..., pivoting=True)`` reference, both
+  kept in this file.
 
 A ``numba`` leg is parametrized explicitly so environments with numba
 installed exercise the JIT backend and environments without it report a
@@ -19,16 +24,23 @@ skip (with reason) rather than silently shrinking coverage.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import _stable_gemm, available_backends, get_backend
 from repro.core.solver import Solver
+from repro.lowrank.rrqr import RRQRResult, rrqr_lapack
 from repro.sparse.generators import laplacian_3d
 from tests.conftest import tiny_blr_config
 from tests.test_recovery import factor_digest
+
+#: the rrqr module itself (``repro.lowrank`` re-exports a function of the
+#: same name, which shadows the submodule attribute)
+RRQR_MODULE = importlib.import_module("repro.lowrank.rrqr")
 
 DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
 
@@ -52,6 +64,17 @@ SEED_DIGESTS = {
         "560f1a0d8bbf91cbcc47e97efecd295a66ad86b267b44f5a447992b2c3959e1f",
     ("just-in-time", "cholesky"):
         "f52daf4d8415a235ea28b374479b40572fb317283894d6a01deb447dbefb86ce",
+}
+
+#: sha256 of the 16-column panel solve on laplacian_3d(6) (tiny_blr_config,
+#: tolerance 1e-8, right-hand sides from default_rng(16)), captured before
+#: the panel kernels were batched: a change that shifts blocked and
+#: per-column solves the same way keeps them equal but breaks these
+SOLUTION_DIGESTS = {
+    ("dense", "cholesky"):
+        "2c02a5df0a2cfabaefb848774c514d85a0cbbfe1b9edef815162222bed162766",
+    ("just-in-time", "lu"):
+        "1720e3eab682e0447218f4999f333824aee1d1094b1f9ba3e759983164d00b21",
 }
 
 #: every backend that should be exercised somewhere: registered ones run,
@@ -307,3 +330,207 @@ class TestSeedBitCompatibility:
                                       tolerance=1e-8, backend="numpy"))
         s.factorize()
         assert factor_digest(s.factor) == SEED_DIGESTS[(strategy, factotype)]
+
+    @pytest.mark.parametrize("strategy,factotype", sorted(SOLUTION_DIGESTS))
+    def test_panel_solve_digest_pinned(self, strategy, factotype):
+        a = laplacian_3d(6)
+        s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
+                                      tolerance=1e-8, backend="numpy"))
+        s.factorize()
+        b = np.random.default_rng(16).standard_normal((a.n, 16))
+        x = np.ascontiguousarray(s.solve(b))
+        assert x.dtype == np.float64
+        digest = hashlib.sha256(x.tobytes()).hexdigest()
+        assert digest == SOLUTION_DIGESTS[(strategy, factotype)]
+
+
+# ----------------------------------------------------------------------
+# bitwise goldens of the numpy fast paths against in-test references
+# ----------------------------------------------------------------------
+
+#: operand dtype pairs: the four dtypes plus mixed-precision panels
+GEMM_PAIRS = tuple((d, d) for d in DTYPES) + (
+    (np.float32, np.float64), (np.float64, np.float32))
+
+
+def _per_column_gemm(a, x):
+    """Reference column-stable product: one ``a @ x[:, j]`` per column."""
+    a = np.ascontiguousarray(a)
+    out = np.empty((a.shape[0], x.shape[1]), dtype=np.result_type(a, x))
+    for j in range(x.shape[1]):
+        out[:, j] = a @ np.ascontiguousarray(x[:, j])
+    return out
+
+
+def _per_column_lr_apply(u, v, x, mode):
+    """Reference ``lr_apply``: the two products of ``u vᵗ`` applied
+    column by column."""
+    if mode == "n":
+        return _per_column_gemm(u, _per_column_gemm(v.T, x))
+    if mode == "t":
+        return _per_column_gemm(v, _per_column_gemm(u.T, x))
+    return _per_column_gemm(v.conj(), _per_column_gemm(u.conj().T, x))
+
+
+def _panel(rng, rows, k, dtype, layout):
+    """An ``(rows, k)`` panel laid out C-ordered, F-ordered or strided."""
+    if layout == "strided":
+        return _rand(rng, (rows, 2 * k), dtype)[:, ::2]
+    x = _rand(rng, (rows, k), dtype)
+    return np.asfortranarray(x) if layout == "F" else x
+
+
+def _assert_bitwise(got, ref):
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("pair", GEMM_PAIRS,
+                         ids=lambda p: f"{np.dtype(p[0]).name}"
+                                       f"x{np.dtype(p[1]).name}")
+@pytest.mark.parametrize("k", (0, 1, 16))
+@pytest.mark.parametrize("layout", ("C", "F", "strided"))
+class TestBatchedPanelGoldens:
+    """The numpy backend's batched panel products equal the per-column
+    reference bit for bit, whatever the panel's width, dtype or layout."""
+
+    def test_stable_gemm(self, pair, k, layout, rng):
+        a = _rand(rng, (19, 13), pair[0])
+        x = _panel(rng, 13, k, pair[1], layout)
+        _assert_bitwise(_stable_gemm(a, x), _per_column_gemm(a, x))
+        # a Fortran-ordered matrix operand reduces the same way
+        _assert_bitwise(_stable_gemm(np.asfortranarray(a), x),
+                        _per_column_gemm(a, x))
+
+    def test_panel_gemm(self, pair, k, layout, rng):
+        be = get_backend("numpy")
+        a = _rand(rng, (40, 24), pair[0])
+        x = _panel(rng, 24, k, pair[1], layout)
+        _assert_bitwise(be.panel_gemm(a, x), _per_column_gemm(a, x))
+
+    @pytest.mark.parametrize("mode", ("n", "t", "h"))
+    def test_lr_apply(self, pair, k, layout, mode, rng):
+        be = get_backend("numpy")
+        u = _rand(rng, (30, 5), pair[0])
+        v = _rand(rng, (22, 5), pair[0])
+        x = _panel(rng, 22 if mode == "n" else 30, k, pair[1], layout)
+        _assert_bitwise(be.lr_apply(u, v, x, mode=mode),
+                        _per_column_lr_apply(u, v, x, mode))
+
+
+def _scipy_rrqr(a, tol, max_rank=None, norm_ref=None):
+    """Reference truncated RRQR through ``scipy.linalg.qr``'s pivoted
+    economic QR, truncated by the rule ``rrqr_lapack`` documents."""
+    q, r, jpvt = sla.qr(a, mode="economic", pivoting=True,
+                        check_finite=False)
+    row_sq = np.einsum("ij,ij->i", r.conj(), r).real
+    tail = np.sqrt(np.maximum(np.cumsum(row_sq[::-1])[::-1], 0.0))
+    norm_a = float(tail[0]) if tail.size else 0.0
+    scale = max(norm_a, norm_ref or 0.0)
+    if scale == 0.0:
+        rank = 0
+    else:
+        ok = np.flatnonzero(tail <= tol * scale)
+        rank = int(ok[0]) if ok.size else int(r.shape[0])
+    if max_rank is not None and rank > max_rank:
+        return RRQRResult(q=q[:, :0], r=r[:0], jpvt=jpvt.astype(np.int64),
+                          converged=False)
+    return RRQRResult(q=np.ascontiguousarray(q[:, :rank]),
+                      r=np.ascontiguousarray(r[:rank]),
+                      jpvt=jpvt.astype(np.int64), converged=True)
+
+
+def _lowrank_block(rng, m, n, rank, dtype):
+    """``(m, n)`` block of numerical rank ~``rank``: decaying spectrum."""
+    u = _rand(rng, (m, rank), dtype) * 0.3 ** np.arange(rank)
+    return (u @ _rand(rng, (n, rank), dtype).T).astype(dtype)
+
+
+@pytest.fixture
+def count_orgqr(monkeypatch):
+    """Count the Q formations ``rrqr_lapack`` makes (LAPACK ``orgqr``)."""
+    handles = RRQR_MODULE._qp3_handles
+    calls = []
+
+    def counted(dtype):
+        geqp3, orgqr, nb = handles(dtype)
+
+        def orgqr_counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return orgqr(*args, **kwargs)
+        return geqp3, orgqr_counted, nb
+
+    monkeypatch.setattr(RRQR_MODULE, "_qp3_handles", counted)
+    return calls
+
+
+@dtypes
+class TestRrqrLapackGoldens:
+    """``rrqr_lapack`` calls geqp3/orgqr directly; its results equal the
+    ``scipy.linalg.qr`` reference bit for bit."""
+
+    @staticmethod
+    def _check(a, tol, max_rank=None, norm_ref=None):
+        got = rrqr_lapack(a, tol, max_rank, norm_ref=norm_ref)
+        ref = _scipy_rrqr(a, tol, max_rank, norm_ref=norm_ref)
+        assert got.converged == ref.converged
+        for g, r in zip(got[:3], ref[:3]):
+            _assert_bitwise(g, np.ascontiguousarray(r))
+        return got
+
+    @pytest.mark.parametrize("shape", ((12, 40), (40, 12), (25, 25), (1, 9),
+                                       (9, 1)), ids=str)
+    @pytest.mark.parametrize("tol", (1e-2, 1e-6))
+    def test_matches_scipy_qr(self, dtype, shape, tol, rng):
+        a = _lowrank_block(rng, *shape, rank=min(shape), dtype=dtype)
+        res = self._check(a, tol)
+        assert res.converged
+
+    def test_norm_ref_truncation(self, dtype, rng):
+        a = _lowrank_block(rng, 30, 18, 10, dtype)
+        scale = 10.0 * float(np.linalg.norm(a))
+        res = self._check(a, 1e-3, norm_ref=scale)
+        assert 0 < res.q.shape[1] < 10
+
+    def test_zero_block_forms_no_q(self, dtype, count_orgqr):
+        res = self._check(np.zeros((7, 5), dtype=dtype), 1e-8)
+        assert res.converged and res.q.shape == (7, 0)
+        assert count_orgqr == []
+
+    def test_rank_cap_rejection_forms_no_q(self, dtype, rng, count_orgqr):
+        a = _rand(rng, (16, 16), dtype)
+        res = self._check(a, 1e-14, max_rank=4)
+        assert not res.converged
+        assert count_orgqr == []
+
+    def test_accepted_keeps_all_reflectors(self, dtype, rng, count_orgqr):
+        a = _lowrank_block(rng, 30, 20, 12, dtype)
+        res = self._check(a, 1e-3)
+        assert 0 < res.q.shape[1] < 20
+        # Q is expanded from all min(m, n) reflectors, then sliced
+        assert count_orgqr == [(30, 20)]
+
+    def test_empty_block(self, dtype):
+        for shape in ((0, 4), (4, 0)):
+            res = rrqr_lapack(np.zeros(shape, dtype=dtype), 1e-8)
+            assert res.converged
+            assert res.q.shape == (shape[0], 0)
+            assert res.r.shape == (0, shape[1])
+            assert res.jpvt.tolist() == list(range(shape[1]))
+
+    @pytest.mark.parametrize("shape", ((1, 1), (5, 3), (3, 5), (40, 200),
+                                       (300, 140)), ids=str)
+    def test_closed_form_lwork_matches_query(self, dtype, shape):
+        """The workspace sizes passed without querying are what LAPACK's
+        own workspace query returns (the blocking path, hence the bits,
+        depends on lwork)."""
+        geqp3, orgqr, nb = RRQR_MODULE._qp3_handles(np.dtype(dtype))
+        m, n = shape
+        k = min(m, n)
+        a = np.zeros(shape, dtype=dtype, order="F")
+        queried = int(geqp3(a, lwork=-1)[-2][0].real)
+        real = np.dtype(dtype).kind == "f"
+        assert queried == (n + 1) * nb + (2 * n if real else 0)
+        tau = np.zeros(k, dtype=dtype)
+        assert int(orgqr(a[:, :k], tau, lwork=-1)[-2][0].real) == k * nb
